@@ -13,12 +13,11 @@ Times the kernels the perf work targeted, at three instance sizes:
   memoization the local search leans on);
 * **local search pass** — one full :func:`reassignment_pass` over a
   random allocation: all-scalar config (full re-score per move) vs the
-  production config (vectorized kernels + ``DeltaScorer`` + memo
-  cache).  ``fast_s`` times the *steady-state* pass — cache retained
+  production config (vectorized kernels + ``DeltaScorer`` + curve
+  store).  ``fast_s`` times the *steady-state* pass — store retained
   from an identical prior pass, the shape every pass after the first
   has inside the multi-pass improvement loop; ``fast_cold_s`` times the
-  first-pass (cold cache) cost and ``fast_uncached_s`` the cache-free
-  path;
+  first-pass (cold store) cost;
 * **pool dispatch** — per-task payload serialization for the
   distributed allocator: the legacy full-subproblem pickle (standalone
   ``CloudSystem`` per task) vs the persistent-pool delta payload
@@ -62,7 +61,7 @@ from repro.core.assign import (  # noqa: E402
     _server_curves,
     batched_server_curves,
 )
-from repro.core.cache import MemoCache, maybe_attach_cache  # noqa: E402
+from repro.core.cache import MemoCache  # noqa: E402
 from repro.core.delta import DeltaScorer  # noqa: E402
 from repro.core.distributed import (  # noqa: E402
     _cluster_rows,
@@ -181,8 +180,7 @@ def bench_curve_cache(num_clients: int, repeats: int = 5) -> Dict[str, float]:
     clients = [state.system.client(cid) for cid in state.system.client_ids()]
 
     def cold() -> None:
-        cache = MemoCache(FAST_CONFIG)
-        state.attach_cache(cache)
+        cache = state.cache = MemoCache()
         for client in clients:
             _client_curve_block(state, client, FAST_CONFIG, cache)
 
@@ -194,7 +192,6 @@ def bench_curve_cache(num_clients: int, repeats: int = 5) -> Dict[str, float]:
             _client_curve_block(state, client, FAST_CONFIG, cache)
 
     warm_s = _best_of(warm, repeats)
-    state.attach_cache(None)
     return {
         "cold_s": cold_s,
         "warm_s": warm_s,
@@ -255,31 +252,24 @@ def bench_local_search_pass(num_clients: int, repeats: int = 3) -> Dict[str, flo
     def run_pass(
         config: SolverConfig,
         attach_scorer: bool,
-        attach_cache: bool = False,
         state: "WorkingState | None" = None,
     ):
         if state is None:
             state = WorkingState(system, allocation.copy())
             if attach_scorer:
                 DeltaScorer(state)
-            if attach_cache:
-                maybe_attach_cache(state, config)
         rng = np.random.default_rng(123)
         started = time.perf_counter()
         reassignment_pass(state, config, rng)
         return time.perf_counter() - started, state
 
     scalar_s = min(run_pass(SCALAR_CONFIG, False)[0] for _ in range(repeats))
-    uncached_config = SolverConfig(use_curve_cache=False)
-    fast_uncached_s = min(
-        run_pass(uncached_config, True)[0] for _ in range(repeats)
-    )
-    fast_cold_s = min(run_pass(FAST_CONFIG, True, True)[0] for _ in range(repeats))
+    fast_cold_s = min(run_pass(FAST_CONFIG, True)[0] for _ in range(repeats))
 
-    # Steady state: a persistent state + cache primed by one identical
+    # Steady state: a persistent state + store primed by one identical
     # pass, then re-timed from the same start allocation — the shape of
     # every pass after the first in the multi-pass improvement loop.
-    _, warm_state = run_pass(FAST_CONFIG, True, True)
+    _, warm_state = run_pass(FAST_CONFIG, True)
     warm_times = []
     for _ in range(repeats):
         warm_state.restore(allocation)
@@ -288,7 +278,7 @@ def bench_local_search_pass(num_clients: int, repeats: int = 3) -> Dict[str, flo
 
     # Equivalence spot-check: every path must produce the same profit.
     _, state_a = run_pass(SCALAR_CONFIG, False)
-    _, state_b = run_pass(FAST_CONFIG, True, True)
+    _, state_b = run_pass(FAST_CONFIG, True)
     profit_a = score(state_a.system, state_a.allocation)
     profit_b = score(state_b.system, state_b.allocation)
     profit_warm = score(system, warm_state.allocation)
@@ -302,7 +292,6 @@ def bench_local_search_pass(num_clients: int, repeats: int = 3) -> Dict[str, flo
         "scalar_s": scalar_s,
         "fast_s": fast_s,
         "fast_cold_s": fast_cold_s,
-        "fast_uncached_s": fast_uncached_s,
         "speedup": scalar_s / fast_s,
     }
 
@@ -387,7 +376,7 @@ def run_benchmarks(sizes=SIZES, sections=None) -> Dict:
         "seed": SEED,
         "sizes": list(sizes),
         "scalar_config": "SolverConfig(use_vectorized_kernels=False, use_delta_scoring=False)",
-        "fast_config": "SolverConfig() (defaults: vectorized + delta scoring + memo cache)",
+        "fast_config": "SolverConfig() (defaults: vectorized + delta scoring + curve store)",
         "results": results,
     }
 

@@ -67,35 +67,27 @@ def fail(message: str) -> int:
 
 
 def check_differential_matrix() -> int:
-    # Cache-on is the production configuration (the vectorized path also
-    # cross-checks a cache-off solve bitwise); cache-off pins down the
-    # uncached kernels on their own.  Both must come back clean — same
-    # gate the CLI exposes as ``repro-cloud audit --cache/--no-cache``.
-    status = 0
-    for use_cache in (True, False):
-        label = "cache on" if use_cache else "cache off"
-        reports = list(
-            run_matrix(
-                seeds=MATRIX_SEEDS,
-                num_clients=MATRIX_CLIENTS,
-                config=MATRIX_CONFIG,
-                use_cache=use_cache,
-            )
+    # The production paths (curve store included) against the scalar
+    # oracle — the same gate the CLI exposes as ``repro-cloud audit``.
+    reports = list(
+        run_matrix(
+            seeds=MATRIX_SEEDS,
+            num_clients=MATRIX_CLIENTS,
+            config=MATRIX_CONFIG,
         )
-        dirty = [report for report in reports if not report.ok]
-        if dirty:
-            for report in dirty:
-                print(report.summary())
-            status = fail(
-                f"{len(dirty)}/{len(reports)} differential instances "
-                f"disagree ({label})"
-            )
-            continue
-        print(
-            f"ok: differential matrix clean on {len(reports)} instances "
-            f"({label}: scalar, vectorized, delta, service)"
+    )
+    dirty = [report for report in reports if not report.ok]
+    if dirty:
+        for report in dirty:
+            print(report.summary())
+        return fail(
+            f"{len(dirty)}/{len(reports)} differential instances disagree"
         )
-    return status
+    print(
+        f"ok: differential matrix clean on {len(reports)} instances "
+        "(scalar, vectorized, delta, service)"
+    )
+    return 0
 
 
 def check_recorded_journal() -> int:

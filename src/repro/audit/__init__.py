@@ -20,7 +20,7 @@ constraints and for every numerical tolerance the solvers use:
 :mod:`repro.audit.differential` imports the solvers and the service
 engine; import it explicitly (``from repro.audit import differential``)
 rather than through this package root, which stays dependency-light so
-that :mod:`repro.model.validation` can delegate here without cycles.
+that :mod:`repro.model` can import the invariants without cycles.
 """
 
 from repro.audit.hooks import audit_enabled, audit_point, disable_audit, enable_audit

@@ -147,17 +147,14 @@ def run_differential(
     config: Optional[SolverConfig] = None,
     seed: Optional[int] = None,
     tolerance: float = AGREEMENT_TOLERANCE,
-    use_cache: bool = True,
     check_dual_bound: bool = False,
 ) -> DifferentialReport:
     """Run one instance through all four scoring paths and cross-check.
 
-    ``use_cache`` arms the memo cache (:mod:`repro.core.cache`) on the
-    vectorized/delta/service paths — the production configuration — so
-    the bitwise scalar-vs-vectorized gate simultaneously proves cache
-    transparency.  The scalar oracle never caches.  With the cache on,
-    the vectorized path is additionally re-solved cache-off and the two
-    runs must match bitwise (allocation and profit).
+    The vectorized, delta and service paths run the production
+    configuration, curve store (:mod:`repro.core.cache`) included, so
+    the bitwise scalar-vs-vectorized gate also proves the store
+    transparent; the scalar oracle never consults the store.
 
     ``check_dual_bound`` adds the Lagrangian upper bound
     (:func:`repro.gap.dual.dual_bound`) as a fifth, *independent* judge:
@@ -174,19 +171,16 @@ def run_differential(
             base,
             use_vectorized_kernels=False,
             use_delta_scoring=False,
-            use_curve_cache=False,
         ),
         "vectorized": replace(
             base,
             use_vectorized_kernels=True,
             use_delta_scoring=False,
-            use_curve_cache=use_cache,
         ),
         "delta": replace(
             base,
             use_vectorized_kernels=True,
             use_delta_scoring=True,
-            use_curve_cache=use_cache,
         ),
     }
     paths: Dict[str, PathReport] = {}
@@ -212,21 +206,6 @@ def run_differential(
             "delta-scored solve drifted from scalar solve: "
             f"{delta.reported_profit!r} vs {scalar.reported_profit!r}"
         )
-    if use_cache:
-        uncached_profit, uncached_allocation = _solve_path(
-            system, replace(variants["vectorized"], use_curve_cache=False)
-        )
-        if uncached_profit != vectorized.reported_profit:
-            disagreements.append(
-                "memo cache is not bit-transparent: cached profit "
-                f"{vectorized.reported_profit!r} != uncached "
-                f"{uncached_profit!r}"
-            )
-        if uncached_allocation != vectorized.allocation:
-            disagreements.append(
-                "memo cache is not bit-transparent: cached and uncached "
-                "vectorized allocations differ"
-            )
     if check_dual_bound:
         _check_dual_bound(system, paths)
     return DifferentialReport(seed=seed, paths=paths, disagreements=disagreements)
@@ -263,7 +242,6 @@ def run_matrix(
     config: Optional[SolverConfig] = None,
     tolerance: float = AGREEMENT_TOLERANCE,
     system_factory: Optional[Callable[[int], CloudSystem]] = None,
-    use_cache: bool = True,
     check_dual_bound: bool = False,
 ) -> List[DifferentialReport]:
     """Differential-verify a matrix of seeded workload instances."""
@@ -283,7 +261,6 @@ def run_matrix(
                 config=base,
                 seed=seed,
                 tolerance=tolerance,
-                use_cache=use_cache,
                 check_dual_bound=check_dual_bound,
             )
         )

@@ -38,9 +38,8 @@ in exactly one place:
     Slack allowed when a move planner checks a candidate share budget
     against a server's remaining capacity.
 
-:mod:`repro.model.validation` re-exports :func:`find_violations` /
-:func:`validate_allocation` for backward compatibility; new code should
-import from here.
+:mod:`repro.model` re-exports :func:`find_violations` /
+:func:`validate_allocation` from here.
 """
 
 from __future__ import annotations

@@ -281,15 +281,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--clients", type=int, default=10, help="clients per instance")
     p.add_argument(
-        "--cache",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="arm the memo cache on the vectorized/delta/service paths "
-        "(--no-cache audits the uncached kernels only); with the cache "
-        "on, every instance additionally cross-checks cached vs uncached "
-        "vectorized solves bitwise",
-    )
-    p.add_argument(
         "--dual-bound",
         action="store_true",
         help="additionally check every path's reported profit against "
@@ -793,18 +784,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     reports = differential.run_matrix(
         seeds=range(args.seeds),
         num_clients=args.clients,
-        use_cache=args.cache,
         check_dual_bound=args.dual_bound,
     )
     failures = [r for r in reports if not r.ok]
     for report in failures:
         print(f"seed {report.seed}:")
         print(report.summary())
-    cache_mode = "memo cache on" if args.cache else "memo cache off"
     print(
         f"differential audit: {len(reports) - len(failures)}/{len(reports)} "
-        f"instances clean across {', '.join(differential.PATH_NAMES)} "
-        f"({cache_mode})"
+        f"instances clean across {', '.join(differential.PATH_NAMES)}"
     )
     return 1 if failures else 0
 

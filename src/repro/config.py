@@ -62,10 +62,15 @@ class SolverConfig:
         use_vectorized_kernels: compute the eq.-(16) profit curves and the
             traffic-split DP with the NumPy kernels
             (:func:`repro.core.assign.batched_server_curves`,
-            :func:`repro.optim.dp.combine_server_curves`) instead of the
-            scalar reference loops.  Pure speed knob: the kernels evaluate
-            the same IEEE-754 expressions element-wise, so results are
-            bit-identical (property-tested).
+            :func:`repro.optim.dp.combine_curve_batches`), serving the
+            curves from the working state's
+            :class:`~repro.core.cache.MemoCache`, instead of the scalar
+            reference loops.  Pure speed knob: the kernels evaluate the
+            same IEEE-754 expressions element-wise and the store serves
+            only rows whose inputs are unchanged, so results are
+            bit-identical (property-tested).  ``False`` selects the
+            scalar reference oracle the differential audit and the tests
+            compare against.
         use_delta_scoring: attach a
             :class:`~repro.core.delta.DeltaScorer` to the solver's working
             state so accept-if-better gates re-score only the clients and
@@ -76,23 +81,6 @@ class SolverConfig:
             query, recompute the full :func:`repro.model.profit.evaluate_profit`
             score and raise if the two disagree beyond 1e-9.  Slow;
             intended for tests and for diagnosing scorer drift.
-        use_curve_cache: attach a :class:`~repro.core.cache.MemoCache` to
-            the solver's working state so eq.-(16) profit curves, DP
-            combination tables, activation profiles, incumbent share
-            bounds, and dispersion resplits are memoized across candidate
-            moves instead of being rebuilt from scratch on every
-            evaluation.  Pure speed knob: cached objects are stored
-            exactly as the kernels computed them and keys capture every
-            input, so results are bit-identical to a cache-free run
-            (differentially verified).  Only takes effect together with
-            ``use_vectorized_kernels``; the scalar path stays a cache-free
-            reference oracle.
-        curve_cache_max_entries: eviction bound for the per-(client,
-            server-signature) curve store; crossing it clears the curve
-            and DP stores (simple, predictable, never stale).
-        dp_cache_max_entries: eviction bound for the DP combination table
-            store, and for the auxiliary activation/incumbent/dispersion
-            stores.
         cluster_bandwidth_prices: per-cluster overrides of
             ``bandwidth_shadow_price`` as a sorted tuple of
             ``(cluster_id, price)`` pairs; clusters not listed keep the
@@ -174,9 +162,6 @@ class SolverConfig:
     use_vectorized_kernels: bool = True
     use_delta_scoring: bool = True
     validate_delta_scoring: bool = False
-    use_curve_cache: bool = True
-    curve_cache_max_entries: int = 200_000
-    dp_cache_max_entries: int = 200_000
     cluster_bandwidth_prices: Optional[Tuple[Tuple[int, float], ...]] = None
     num_shards: int = 1
     shard_coordination_rounds: int = 1
@@ -206,10 +191,6 @@ class SolverConfig:
             raise ConfigurationError("stability_margin must be >= 1")
         if self.num_workers is not None and self.num_workers < 1:
             raise ConfigurationError("num_workers must be >= 1 when given")
-        if self.curve_cache_max_entries < 1:
-            raise ConfigurationError("curve_cache_max_entries must be >= 1")
-        if self.dp_cache_max_entries < 1:
-            raise ConfigurationError("dp_cache_max_entries must be >= 1")
         if self.cluster_bandwidth_prices is not None:
             seen = set()
             for pair in self.cluster_bandwidth_prices:

@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.assign import apply_placement, best_placement
-from repro.core.cache import maybe_attach_cache
 from repro.core.delta import DeltaScorer
 from repro.core.dispersion import adjust_dispersion_rates
 from repro.core.initial import build_initial_solution
@@ -192,9 +191,6 @@ class ResourceAllocator:
             # Accept-if-better gates across every move module then cost
             # O(touched) instead of a full re-evaluation (see core.delta).
             DeltaScorer(state, validate=self.config.validate_delta_scoring)
-        # Memoize curve/DP/activation kernels across candidate moves (see
-        # core.cache); bit-transparent, so the accept gates are unchanged.
-        maybe_attach_cache(state, self.config)
         self._place_stragglers(state)
         blocked_for_shutdown: Set[int] = set()
         history: List[float] = []

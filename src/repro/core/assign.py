@@ -32,20 +32,22 @@ Two curve kernels implement the same eq.-(16) arithmetic:
   (property-tested in ``tests/core/test_vectorized.py``).
 
 ``SolverConfig.use_vectorized_kernels`` selects the kernel (and the
-matching array vs. scalar DP).
+matching array vs. scalar DP).  The scalar kernel is the reference
+oracle of the differential audit and the tests.
 
-When the working state carries a :class:`~repro.core.cache.MemoCache`
-(``SolverConfig.use_curve_cache``), a third path serves curves from a
-per-client :class:`~repro.core.cache.CurveBlock` — the client's curve
-matrix over the whole server universe.  Validation is two-tier: one
-vectorized compare of per-server mutation epochs narrows to rows a
-mutation may have touched, then those rows' stored capacity inputs are
-compared by value, and only rows whose inputs actually changed are
-recomputed.  The per-cluster DP is memoized against the block's per-row
-content versions.  The kernel is element-wise per row, so a patched
-subset batch produces bitwise the rows a full batch would — making the
-cached path bit-identical to the uncached one (differentially
-verified).
+The production path serves curves from the working state's
+:class:`~repro.core.cache.MemoCache`: a per-client
+:class:`~repro.core.cache.CurveBlock` holds the client's curve matrix
+over the whole server universe.  Validation is two-tier: one vectorized
+compare of per-server mutation epochs narrows to rows a mutation may
+have touched, then those rows' stored capacity inputs are compared by
+value, and only rows whose inputs actually changed are recomputed.  The
+kernel is element-wise per row, so a patched subset batch produces
+bitwise the rows a full batch would, and :func:`best_placement` then
+solves every candidate cluster's DP in one lockstep batch over the
+block rows — bit-identical to the scalar path (differentially
+verified).  The block keeps that last placement until one of its rows
+is recomputed.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.core.cache import CurveBlock, MemoCache
+from repro.core.cache import MAX_CURVE_BLOCKS, CurveBlock, MemoCache
 from repro.core.state import WorkingState
 from repro.model.client import Client
 from repro.optim.dp import (
@@ -369,13 +371,20 @@ def assign_distribute(
         return None
 
     if config.use_vectorized_kernels:
-        cache = state.cache
-        if cache is not None:
-            return _assign_distribute_cached(
-                state, client, cluster_id, eligible, config, cache
-            )
-        return _assign_distribute_vectorized(
-            state, client, cluster_id, eligible, config
+        block = _client_curve_block(state, client, config, state.cache)
+        idx = state.server_indices(eligible)
+        sel = idx[block.row_ok[idx]]
+        granularity = config.alpha_granularity
+        total, units = combine_server_curves(
+            [block.values[i] for i in sel], granularity
+        )
+        if total == NEG_INF:
+            return None
+        return _finish_placement(
+            client,
+            cluster_id,
+            total,
+            _block_entries(state, block, sel, units, granularity),
         )
     return _assign_distribute_scalar(state, client, cluster_id, eligible, config)
 
@@ -424,40 +433,6 @@ def _assign_distribute_scalar(
     return _finish_placement(client, cluster_id, total, entries)
 
 
-def _assign_distribute_vectorized(
-    state: WorkingState,
-    client: Client,
-    cluster_id: int,
-    eligible: Sequence[int],
-    config: SolverConfig,
-) -> Optional[CandidatePlacement]:
-    """Production path: batched NumPy curves + array DP.
-
-    Servers whose whole positive-traffic curve is infeasible are pruned
-    before the DP — they could only ever take 0 grid units, so dropping
-    them is exact and shrinks the DP when a cluster is mostly full.
-    """
-    idx = state.server_indices(eligible)
-    values, phi_p, phi_b = _curves_at_indices(state, client, idx, config)
-    rows = np.nonzero(values[:, 1:].max(axis=1) > NEG_INF)[0]
-
-    granularity = config.alpha_granularity
-    total, units = combine_server_curves([values[r] for r in rows], granularity)
-    if total == NEG_INF:
-        return None
-
-    entries: Dict[int, EntryTriple] = {}
-    for row, g in zip(rows, units):
-        if g == 0:
-            continue
-        entries[eligible[row]] = (
-            g / granularity,
-            float(phi_p[row, g]),
-            float(phi_b[row, g]),
-        )
-    return _finish_placement(client, cluster_id, total, entries)
-
-
 def _client_curve_block(
     state: WorkingState,
     client: Client,
@@ -471,12 +446,11 @@ def _client_curve_block(
     rows a mutation may have touched; those rows' stored capacity inputs
     are then compared *by value*, and only rows whose inputs actually
     changed are recomputed through :func:`_curves_at_indices` and patched
-    in place (bumping their content version for the DP memo).  The curve
-    kernel is a pure element-wise function of the compared inputs, so
-    every row served from the block — including rows whose epoch moved
-    but whose inputs came back, e.g. after a rejected move's rollback or
-    a snapshot restore — is bitwise the row a fresh full evaluation would
-    produce.
+    in place.  The curve kernel is a pure element-wise function of the
+    compared inputs, so every row served from the block — including rows
+    whose epoch moved but whose inputs came back, e.g. after a rejected
+    move's rollback or a snapshot restore — is bitwise the row a fresh
+    full evaluation would produce.
     """
     token = cache.client_token(client)
     blocks = cache._blocks
@@ -513,7 +487,7 @@ def _client_curve_block(
         block.in_b[changed] = cur_b[differs]
         block.in_s[changed] = cur_s[differs]
         block.in_act[changed] = cur_act[differs]
-        block.row_version[changed] += 1
+        block.placement = None
         return block
     stats["curve_misses"] += 1
     idx = np.arange(len(epochs), dtype=np.intp)
@@ -530,34 +504,11 @@ def _client_curve_block(
         phi_b,
         values[:, 1:].max(axis=1) > NEG_INF,
     )
-    if len(blocks) >= cache.max_curve_entries:
-        # The DP memo goes with the blocks: a rebuilt block restarts its
-        # row versions at zero, which must not alias tables computed
-        # against the evicted block's content.
+    if len(blocks) >= MAX_CURVE_BLOCKS:
         blocks.clear()
-        cache._dp.clear()
         stats["evictions"] += 1
     blocks[token[0]] = block
     return block
-
-
-def _block_cluster_solve(
-    state: WorkingState,
-    client: Client,
-    cluster_id: int,
-    block: CurveBlock,
-    idx: np.ndarray,
-    granularity: int,
-) -> Optional[CandidatePlacement]:
-    """DP over a block's rows at ``idx`` (unmemoized; exclusion path)."""
-    sel = idx[block.row_ok[idx]]
-    values = block.values
-    total, units = combine_server_curves([values[i] for i in sel], granularity)
-    if total == NEG_INF:
-        return None
-    return _finish_placement(
-        client, cluster_id, total, _block_entries(state, block, sel, units, granularity)
-    )
 
 
 def _block_entries(
@@ -578,84 +529,6 @@ def _block_entries(
             float(block.phi_b[i, g]),
         )
     return entries
-
-
-def _cached_cluster_solve(
-    state: WorkingState,
-    client: Client,
-    cluster_id: int,
-    block: CurveBlock,
-    granularity: int,
-    cache: MemoCache,
-) -> Optional[CandidatePlacement]:
-    """Whole-cluster DP memoized per (client, cluster).
-
-    The memo holds the *finished* :class:`CandidatePlacement` (or
-    ``None`` for an infeasible cluster) and is validated against the
-    block's content-version counters sliced at the cluster's rows: the
-    selection, every curve fed to the DP, and the resulting entries are
-    functions of those rows' content alone, and the versions move
-    exactly when a row's content is recomputed, so version-slice
-    equality replays the exact uncached result without rebuilding it.
-    """
-    arr = state.cluster_index_arrays[cluster_id]
-    token = block.token
-    cluster_versions = block.row_version[arr]
-    memo = cache._dp
-    key = (token[0], cluster_id)
-    hit = memo.get(key)
-    if (
-        hit is not None
-        and hit[0] == token
-        and np.array_equal(hit[1], cluster_versions)
-    ):
-        cache.stats["dp_hits"] += 1
-        return hit[2]
-    cache.stats["dp_misses"] += 1
-    sel = arr[block.row_ok[arr]]
-    if sel.size == 0:
-        placement = None
-    else:
-        values = block.values
-        total, units = combine_server_curves(
-            [values[i] for i in sel], granularity
-        )
-        if total == NEG_INF:
-            placement = None
-        else:
-            placement = _finish_placement(
-                client,
-                cluster_id,
-                total,
-                _block_entries(state, block, sel, units, granularity),
-            )
-    if hit is None and len(memo) >= cache.max_aux_entries:
-        memo.clear()
-        cache.stats["evictions"] += 1
-    memo[key] = (token, cluster_versions, placement)
-    return placement
-
-
-def _assign_distribute_cached(
-    state: WorkingState,
-    client: Client,
-    cluster_id: int,
-    eligible: Sequence[int],
-    config: SolverConfig,
-    cache: MemoCache,
-) -> Optional[CandidatePlacement]:
-    """Memoized production path: block curve rows + per-cluster DP memo."""
-    block = _client_curve_block(state, client, config, cache)
-    granularity = config.alpha_granularity
-    if len(eligible) == len(state.cluster_server_ids[cluster_id]):
-        return _cached_cluster_solve(
-            state, client, cluster_id, block, granularity, cache
-        )
-    # Exclusions change the DP's input set, so bypass the whole-cluster
-    # memo rather than key on arbitrary subsets.
-    return _block_cluster_solve(
-        state, client, cluster_id, block, state.server_indices(eligible), granularity
-    )
 
 
 def _finish_placement(
@@ -699,10 +572,7 @@ def best_placement(
     kids = list(cluster_ids or state.system.cluster_ids())
     excluded = excluded_server_ids or frozenset()
     if config.use_vectorized_kernels:
-        cache = state.cache
-        if cache is not None:
-            return _best_placement_cached(state, client, kids, config, excluded, cache)
-        return _best_placement_vectorized(state, client, kids, config, excluded)
+        return _best_placement_blocks(state, client, kids, config, excluded)
     candidates: List[CandidatePlacement] = []
     for cluster_id in kids:
         placement = assign_distribute(
@@ -726,12 +596,11 @@ def estimate_marginal_profit(
     A read-only probe: the value is the ``estimated_profit`` of the
     :func:`best_placement` the engine would commit for the client right
     now — revenue term plus the summed per-server curve contributions,
-    activation power included — without touching the working state.
-    When a :class:`~repro.core.cache.MemoCache` is attached the probe
-    reads (and warms) the same curve blocks the subsequent placement
-    will use, so estimating then admitting costs one evaluation, not
-    two.  Returns ``-inf`` when no feasible placement exists, so callers
-    can distinguish "unprofitable" from "does not fit".
+    activation power included — without touching the working state.  The
+    probe reads (and warms) the same curve block the subsequent placement
+    will use, so estimating then admitting costs one curve evaluation,
+    not two.  Returns ``-inf`` when no feasible placement exists, so
+    callers can distinguish "unprofitable" from "does not fit".
     """
     placement = best_placement(
         state, client, config, excluded_server_ids=excluded_server_ids
@@ -741,127 +610,38 @@ def estimate_marginal_profit(
     return placement.estimated_profit
 
 
-def _best_placement_cached(
+def _best_placement_blocks(
     state: WorkingState,
     client: Client,
     kids: List[int],
     config: SolverConfig,
     excluded: AbstractSet[int],
-    cache: MemoCache,
 ) -> Optional[CandidatePlacement]:
-    """Memoized cross-cluster placement.
+    """Production cross-cluster placement over the client's curve block.
 
-    Mirrors :func:`_best_placement_vectorized` — one curve fetch across
-    all candidate clusters (cluster membership comes from the state's
-    precomputed lists), then one memoized per-cluster DP with the same
-    first-maximum tie-breaks — so it returns exactly what the uncached
-    path would, while repeat evaluations cost dictionary lookups.
+    One block fetch covers every candidate cluster (curves depend on the
+    (client, server) pair, never on cluster identity), then one lockstep
+    :func:`~repro.optim.dp.combine_curve_batches` solves every cluster's
+    DP over the rows that can take traffic.  The per-cluster DP and the
+    first-maximum tie-break match the per-cluster loop of the scalar
+    path, so this returns exactly what that loop would.
+
+    The result is a function of the block's rows, the client (whose
+    token the block carries), the candidate clusters and the exclusions,
+    so a repeat call over an unpatched block — the online service's
+    admission estimate followed by the placement it gates — returns the
+    block's last placement instead of solving the DPs again.
     """
-    block = _client_curve_block(state, client, config, cache)
+    block = _client_curve_block(state, client, config, state.cache)
+    last = block.placement
+    if last is not None and last[0] == kids and last[1] == excluded:
+        return last[2]
     granularity = config.alpha_granularity
     cluster_lists = state.cluster_server_ids
-
-    if excluded:
-        best = None
-        for kid in kids:
-            ids = [sid for sid in cluster_lists[kid] if sid not in excluded]
-            if not ids:
-                continue
-            placement = _block_cluster_solve(
-                state, client, kid, block, state.server_indices(ids), granularity
-            )
-            if placement is not None and (
-                best is None or placement.estimated_profit > best.estimated_profit
-            ):
-                best = placement
-        return best
-
-    # Memo pass: resolve every cluster against the (client, cluster)
-    # placement memo first, then solve all misses in one lockstep batch.
-    token = block.token
-    memo = cache._dp
     cluster_arrays = state.cluster_index_arrays
-    placements: List[Optional[CandidatePlacement]] = []
-    miss_positions: List[int] = []
-    miss_keys: List[Tuple[int, np.ndarray, np.ndarray]] = []
+    row_ok = block.row_ok
     groups: List[np.ndarray] = []
-    for kid in kids:
-        arr = cluster_arrays[kid]
-        cluster_versions = block.row_version[arr]
-        hit = memo.get((token[0], kid))
-        if (
-            hit is not None
-            and hit[0] == token
-            and np.array_equal(hit[1], cluster_versions)
-        ):
-            cache.stats["dp_hits"] += 1
-            placements.append(hit[2])
-            continue
-        cache.stats["dp_misses"] += 1
-        sel = arr[block.row_ok[arr]]
-        if sel.size == 0:
-            placements.append(None)
-            if hit is None and len(memo) >= cache.max_aux_entries:
-                memo.clear()
-                cache.stats["evictions"] += 1
-            memo[(token[0], kid)] = (token, cluster_versions, None)
-            continue
-        miss_positions.append(len(placements))
-        miss_keys.append((kid, cluster_versions, sel))
-        groups.append(block.values[sel])
-        placements.append(None)
-    if groups:
-        for position, (kid, versions, sel), (total, units) in zip(
-            miss_positions, miss_keys, combine_curve_batches(groups, granularity)
-        ):
-            if total == NEG_INF:
-                placement = None
-            else:
-                placement = _finish_placement(
-                    client,
-                    kid,
-                    total,
-                    _block_entries(state, block, sel, units, granularity),
-                )
-            placements[position] = placement
-            if (
-                (token[0], kid) not in memo
-                and len(memo) >= cache.max_aux_entries
-            ):
-                memo.clear()
-                cache.stats["evictions"] += 1
-            memo[(token[0], kid)] = (token, versions, placement)
-
-    best = None
-    for placement in placements:
-        if placement is not None and (
-            best is None or placement.estimated_profit > best.estimated_profit
-        ):
-            best = placement
-    return best
-
-
-def _best_placement_vectorized(
-    state: WorkingState,
-    client: Client,
-    kids: List[int],
-    config: SolverConfig,
-    excluded: AbstractSet[int] = frozenset(),
-) -> Optional[CandidatePlacement]:
-    """One batched curve evaluation across *all* candidate clusters.
-
-    Curves depend only on the (client, server signature) pair, never on
-    cluster identity, so the memo dedup is valid across clusters and one
-    NumPy evaluation amortizes the kernel-launch overhead that dominates
-    per-cluster calls on small arrays.  The per-cluster DP and the
-    first-maximum tie-break are unchanged, so this returns exactly what
-    the per-cluster loop would.
-    """
-    cluster_lists = state.cluster_server_ids
-    cluster_arrays = state.cluster_index_arrays
-    parts: List[np.ndarray] = []
-    spans: List[Tuple[int, int, int]] = []
-    offset = 0
+    group_rows: List[Tuple[int, np.ndarray]] = []
     for kid in kids:
         if excluded:
             ids = [sid for sid in cluster_lists[kid] if sid not in excluded]
@@ -870,47 +650,27 @@ def _best_placement_vectorized(
             arr = state.server_indices(ids)
         else:
             arr = cluster_arrays[kid]
-            if arr.size == 0:
-                continue
-        parts.append(arr)
-        spans.append((kid, offset, offset + arr.size))
-        offset += arr.size
-    if not parts:
-        return None
-
-    idx = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    values, phi_p, phi_b = _curves_at_indices(state, client, idx, config)
-    takes_traffic = values[:, 1:].max(axis=1) > NEG_INF
-    granularity = config.alpha_granularity
-    sid_order = state._sid_order
-
-    groups: List[np.ndarray] = []
-    group_rows: List[Tuple[int, np.ndarray]] = []
-    for kid, start, end in spans:
-        rows = start + np.nonzero(takes_traffic[start:end])[0]
-        if rows.size == 0:
+        sel = arr[row_ok[arr]]
+        if sel.size == 0:
             continue
-        groups.append(values[rows])
-        group_rows.append((kid, rows))
+        groups.append(block.values[sel])
+        group_rows.append((kid, sel))
 
     best: Optional[CandidatePlacement] = None
-    for (kid, rows), (total, units) in zip(
+    for (kid, sel), (total, units) in zip(
         group_rows, combine_curve_batches(groups, granularity)
     ):
         if total == NEG_INF:
             continue
-        entries: Dict[int, EntryTriple] = {}
-        for row, g in zip(rows, units):
-            if g == 0:
-                continue
-            entries[sid_order[idx[row]]] = (
-                g / granularity,
-                float(phi_p[row, g]),
-                float(phi_b[row, g]),
-            )
-        placement = _finish_placement(client, kid, total, entries)
+        placement = _finish_placement(
+            client,
+            kid,
+            total,
+            _block_entries(state, block, sel, units, granularity),
+        )
         if placement is not None and (
             best is None or placement.estimated_profit > best.estimated_profit
         ):
             best = placement
+    block.placement = (kids, frozenset(excluded), best)
     return best

@@ -190,9 +190,6 @@ class DeltaScorer:
         """
         self._check_epoch()
         self._refresh()
-        cache = self.state.cache
-        if cache is not None:
-            cache.note_resync()
         revenue = _KahanSum()
         cost = _KahanSum()
         bad = 0

@@ -14,7 +14,7 @@ evaluator agrees it does not lose profit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from repro.audit.invariants import ACCEPT_TOLERANCE, NEGLIGIBLE_ALPHA
 from repro.config import SolverConfig
@@ -24,45 +24,6 @@ from repro.optim.kkt import DispersionBranch, optimal_dispersion
 
 #: Traffic portions below this are treated as "do not use the branch".
 _NEGLIGIBLE_ALPHA = NEGLIGIBLE_ALPHA
-
-
-def cached_optimal_dispersion(
-    state: WorkingState,
-    branches: Sequence[DispersionBranch],
-    arrival_rate: float,
-    config: SolverConfig,
-) -> Optional[Tuple[float, ...]]:
-    """:func:`~repro.optim.kkt.optimal_dispersion` through the memo cache.
-
-    The resplit is a pure function of the branch service rates, the
-    arrival rate, and the stability margin, so the cache key is those
-    values verbatim — a hit replays the exact bisection result (including
-    cached ``None`` for infeasible branch sets).  Used by this module and
-    by the evacuation path in :mod:`repro.core.power`.
-    """
-    cache = state.cache
-    if cache is None:
-        alphas = optimal_dispersion(
-            branches,
-            arrival_rate,
-            total=1.0,
-            stability_margin=config.stability_margin,
-        )
-        return tuple(alphas) if alphas is not None else None
-    key = (arrival_rate, config.stability_margin) + tuple(
-        (branch.rate_processing, branch.rate_bandwidth) for branch in branches
-    )
-    found, alphas = cache.lookup_dispersion(key)
-    if not found:
-        solved = optimal_dispersion(
-            branches,
-            arrival_rate,
-            total=1.0,
-            stability_margin=config.stability_margin,
-        )
-        alphas = tuple(solved) if solved is not None else None
-        cache.store_dispersion(key, alphas)
-    return alphas
 
 
 def adjust_dispersion_rates(
@@ -91,7 +52,12 @@ def adjust_dispersion_rates(
                 rate_bandwidth=entry.phi_b * server.cap_bandwidth / client.t_comm,
             )
         )
-    alphas = cached_optimal_dispersion(state, branches, client.rate_predicted, config)
+    alphas = optimal_dispersion(
+        branches,
+        client.rate_predicted,
+        total=1.0,
+        stability_margin=config.stability_margin,
+    )
     if alphas is None:
         return 0.0
 

@@ -42,7 +42,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.allocator import AllocationResult, ResourceAllocator
-from repro.core.cache import maybe_attach_cache
 from repro.core.initial import greedy_pass
 from repro.core.local_search import reassignment_pass
 from repro.core.state import WorkingState
@@ -331,7 +330,6 @@ class DistributedAllocator:
                 merged.assign_client(cid, allocation.cluster_of[cid])
 
         state = WorkingState(system, merged)
-        maybe_attach_cache(state, config)
         rng = np.random.default_rng(config.seed)
         history: List[float] = [
             evaluate_profit(system, merged, require_all_served=False).total_profit

@@ -17,7 +17,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.core.assign import apply_placement, best_placement
-from repro.core.cache import maybe_attach_cache
 from repro.core.power import force_client_into_cluster
 from repro.core.state import WorkingState
 from repro.model.allocation import Allocation
@@ -53,7 +52,6 @@ def greedy_pass(
         starting_allocation.copy() if starting_allocation is not None else None
     )
     state = WorkingState(system, allocation)
-    maybe_attach_cache(state, config)
     order = list(system.client_ids())
     rng.shuffle(order)
     stragglers = []

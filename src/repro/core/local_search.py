@@ -32,7 +32,6 @@ from repro.audit.hooks import audit_point
 from repro.audit.invariants import ACCEPT_TOLERANCE
 from repro.config import SolverConfig
 from repro.core.assign import apply_placement, best_placement
-from repro.core.cache import maybe_attach_cache
 from repro.core.delta import DeltaScorer
 from repro.core.power import force_client_into_cluster
 from repro.core.scoring import score_state
@@ -101,7 +100,6 @@ def cluster_reassignment_search(
     state = WorkingState(system, allocation.copy())
     if config.use_delta_scoring:
         DeltaScorer(state, validate=config.validate_delta_scoring)
-    maybe_attach_cache(state, config)
     for _ in range(max_passes):
         delta = reassignment_pass(state, config, rng)
         if delta <= config.improvement_tolerance:

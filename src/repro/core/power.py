@@ -35,12 +35,12 @@ from repro.audit.invariants import (
 )
 from repro.config import SolverConfig
 from repro.core.assign import apply_placement, assign_distribute, _closed_form_share
-from repro.core.dispersion import adjust_dispersion_rates, cached_optimal_dispersion
+from repro.core.dispersion import adjust_dispersion_rates
 from repro.core.shares import adjust_resource_shares
 from repro.core.scoring import score_state
 from repro.core.state import WorkingState
 from repro.model.client import Client
-from repro.optim.kkt import DispersionBranch
+from repro.optim.kkt import DispersionBranch, optimal_dispersion
 
 
 @dataclass(frozen=True)
@@ -119,11 +119,9 @@ def _activation_profile(
     client joining one idle server.
 
     Pure in (client, server class, free capacities, config): nothing here
-    reads the allocation, so the result is cacheable under exactly that
-    key.  The early ``break`` on the stability lower bounds and the
-    ``continue`` on non-positive headroom are part of the contract — the
-    returned list is precisely the grid points the original inline loop
-    would have priced.
+    reads the allocation.  The early ``break`` on the stability lower
+    bounds and the ``continue`` on non-positive headroom stop at the
+    first infeasible grid point and skip points without headroom.
     """
     granularity = config.alpha_granularity
     linear = client.utility_class.linear_approximation()
@@ -169,8 +167,6 @@ def _activation_candidates(
     server = state.system.server(server_id)
     free_p = state.free_processing(server_id)
     free_b = state.free_bandwidth(server_id)
-    cache = state.cache
-    class_index = server.server_class.index
     candidates: List[_ActivationCandidate] = []
     for client_id in state.allocation.clients_in_cluster(cluster_id):
         entries = state.allocation.entries_of_client(client_id)
@@ -184,20 +180,7 @@ def _activation_candidates(
         cost_now = _branch_response_costs(state, client_id)
         if math.isinf(cost_now):
             continue
-        # The grid-point pricing depends only on (client, server class,
-        # free capacity); memoize it and replay the stored shares through
-        # the state-dependent valuation below, which is arithmetic the
-        # inline loop performed on the identical operands.
-        if cache is not None:
-            profile_key = (
-                cache.client_token(client), class_index, free_p, free_b
-            )
-            profile = cache.lookup_activation(profile_key)
-            if profile is None:
-                profile = _activation_profile(client, server, free_p, free_b, config)
-                cache.store_activation(profile_key, profile)
-        else:
-            profile = _activation_profile(client, server, free_p, free_b, config)
+        profile = _activation_profile(client, server, free_p, free_b, config)
         best: Optional[_ActivationCandidate] = None
         for g, phi_p, phi_b, cost_new_branch in profile:
             fraction = g / granularity
@@ -322,22 +305,7 @@ def _approximated_utility(state: WorkingState, server_id: int) -> float:
 def _incumbent_minimum_shares(
     state: WorkingState, server_id: int, config: SolverConfig
 ) -> Tuple[float, float]:
-    """Sum of the stability lower bounds of a server's current clients.
-
-    Memoized on the server's mutation epoch when a cache is attached:
-    the bounds read the hosted entries and their clients' rates, and both
-    can only change through events that bump the epoch (entry mutations,
-    ``restore``/``canonicalize`` rebuilds, client replacement via
-    :meth:`~repro.core.state.WorkingState.note_client_replaced`).  The
-    summation order is the entry-dict order, which is identical for
-    identical epochs, so a hit is bitwise the recomputed value.
-    """
-    cache = state.cache
-    if cache is not None:
-        epoch = state.server_epoch(server_id)
-        hit = cache.lookup_incumbent(server_id, epoch)
-        if hit is not None:
-            return hit
+    """Sum of the stability lower bounds of a server's current clients."""
     server = state.system.server(server_id)
     low_p = low_b = 0.0
     for other_id in state.allocation.clients_on_server(server_id):
@@ -351,8 +319,6 @@ def _incumbent_minimum_shares(
         low_b += (
             other_arrival * other.t_comm / server.cap_bandwidth
         ) * config.stability_margin + config.min_share
-    if cache is not None:
-        cache.store_incumbent(server_id, epoch, (low_p, low_b))
     return low_p, low_b
 
 
@@ -514,8 +480,11 @@ def evacuate_client(
                     rate_bandwidth=entry.phi_b * server.cap_bandwidth / client.t_comm,
                 )
             )
-        alphas = cached_optimal_dispersion(
-            state, branches, client.rate_predicted, config
+        alphas = optimal_dispersion(
+            branches,
+            client.rate_predicted,
+            total=1.0,
+            stability_margin=config.stability_margin,
         )
         if alphas is not None:
             for idx, sid in enumerate(server_ids):

@@ -59,7 +59,6 @@ from repro.config import SolverConfig
 from repro.core import distributed
 from repro.core.allocator import AllocationResult, ResourceAllocator
 from repro.core.assign import batched_server_curves
-from repro.core.cache import maybe_attach_cache
 from repro.core.delta import DeltaScorer
 from repro.core.distributed import WorkerPool
 from repro.core.local_search import reassignment_pass
@@ -94,7 +93,6 @@ class ShardRoundResult:
     usage: Dict[int, ClusterUsage]
     unplaced: Tuple[int, ...]
     marginal: Dict[int, float]
-    cache_stats: Dict[str, int]
     nonce: Tuple[int, int]
     #: Wall seconds the worker spent inside this round's solve/improve
     #: (excludes dispatch); drives adaptive shard sizing and the scale
@@ -231,7 +229,6 @@ class _ShardRuntime:
         self.state = WorkingState(self.sub_system)
         if base_config.use_delta_scoring:
             DeltaScorer(self.state, validate=base_config.validate_delta_scoring)
-        maybe_attach_cache(self.state, base_config)
         self.last_prices: PriceTuple = None
         self.nonce: Optional[Tuple[int, int]] = None
 
@@ -261,8 +258,7 @@ class _ShardRuntime:
         """
         config = self._round_config(seed, prices)
         if prices != self.last_prices:
-            if self.state.cache is not None:
-                self.state.cache.clear()
+            self.state.cache.clear()
             self.last_prices = prices
         self.state.canonicalize()
         if self.state.scorer is not None:
@@ -284,7 +280,6 @@ class _ShardRuntime:
             for cid in self.spec.client_ids
             if not self.state.allocation.entries_of_client(cid)
         )
-        cache = self.state.cache
         self.nonce = _next_nonce()
         return ShardRoundResult(
             shard_id=self.spec.shard_id,
@@ -294,7 +289,6 @@ class _ShardRuntime:
             usage=self.state.cluster_usage_summary(),
             unplaced=unplaced,
             marginal=self._marginal_response(config),
-            cache_stats=dict(cache.stats) if cache is not None else {},
             nonce=self.nonce,
         )
 
@@ -391,7 +385,6 @@ def _polish_cluster_task(
     state = WorkingState(sub_system, sub_allocation)
     if config.use_delta_scoring:
         DeltaScorer(state, validate=config.validate_delta_scoring)
-    maybe_attach_cache(state, config)
     state.canonicalize()
     if state.scorer is not None:
         state.scorer.mark_all()
@@ -892,7 +885,6 @@ class ShardedAllocator:
         state = WorkingState(system, merged)
         if config.use_delta_scoring:
             DeltaScorer(state, validate=config.validate_delta_scoring)
-        maybe_attach_cache(state, config)
         state.canonicalize()
         if state.scorer is not None:
             state.scorer.mark_all()
@@ -963,7 +955,6 @@ class ShardedAllocator:
                 break
             profit = new_profit
         state = WorkingState(system, allocation)
-        maybe_attach_cache(state, config)
         # A client no shard ever assigned appears in no cluster task; the
         # sequential polish rescues those through the improvement round's
         # straggler placement, so this path must too — serving every

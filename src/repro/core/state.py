@@ -13,7 +13,7 @@ Conventions enforced here:
 * storage is reserved once per (client, server) pair regardless of alpha,
   per the paper's constraint (8).
 
-Two optional facilities support the incremental hot-path engine:
+Three facilities support the incremental hot-path engine:
 
 * **transactions** — ``begin_txn`` starts recording an undo log of every
   entry/cluster mutation; ``rollback_txn`` replays it backwards, undoing
@@ -25,13 +25,13 @@ Two optional facilities support the incremental hot-path engine:
   register itself via :meth:`attach_scorer`; every mutation then marks
   the touched client/server dirty so profit queries re-score only what
   changed.
-* **cache attachment** — a :class:`~repro.core.cache.MemoCache` may be
-  attached via :meth:`attach_cache`; the state maintains, per server, a
-  monotone *mutation epoch* (bumped on every entry write, and for every
-  server on ``restore``/``canonicalize``) that the cache uses as a fast
-  staleness filter: rows whose epoch is unchanged are provably
-  untouched, and only the rows whose epoch moved are rechecked against
-  their stored input values.
+* **curve store** — every state owns a
+  :class:`~repro.core.cache.MemoCache` (:attr:`cache`) and maintains,
+  per server, a monotone *mutation epoch* (bumped on every entry write,
+  and for every server on ``restore``/``canonicalize``) that the store
+  uses as a fast staleness filter: rows whose epoch is unchanged are
+  provably untouched, and only the rows whose epoch moved are rechecked
+  against their stored input values.
 
 The usage aggregates are kept twice, deliberately: as dicts (the O(1)
 point queries every move uses) and as dense NumPy arrays in a fixed
@@ -56,12 +56,12 @@ from typing import (
 
 import numpy as np
 
+from repro.core.cache import MemoCache
 from repro.exceptions import ModelError
 from repro.model.allocation import Allocation, AllocationRows, ServerAllocation
 from repro.model.datacenter import CloudSystem
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.cache import MemoCache
     from repro.core.delta import DeltaScorer
 
 
@@ -126,7 +126,8 @@ class WorkingState:
         self._used_storage: Dict[int, float] = {}
         self._active_entries: Dict[int, int] = {}
         self._scorer: Optional["DeltaScorer"] = None
-        self._cache: Optional["MemoCache"] = None
+        #: The eq.-(16) curve store of this state (see core.cache).
+        self.cache = MemoCache()
         self._txn_stack: List[List[_UndoOp]] = []
         self.server_statics: Dict[int, ServerStatics] = {
             s.server_id: ServerStatics(s) for s in system.servers()
@@ -147,8 +148,8 @@ class WorkingState:
         self._hasbg_arr = np.array(
             [st.has_background_load for st in statics], dtype=bool
         )
-        #: Monotone per-server mutation counter — never reset, so an
-        #: epoch-keyed cache entry can go unreachable but never stale.
+        #: Monotone per-server mutation counter — never reset, so a
+        #: stored epoch snapshot can go out of date but never alias.
         self._epoch_arr = np.zeros(len(self._sid_order), dtype=np.int64)
         #: Static cluster membership, precomputed so the placement loops
         #: don't rebuild server-id lists on every candidate evaluation.
@@ -185,7 +186,7 @@ class WorkingState:
             [self._active_entries[sid] for sid in order], dtype=np.int64
         )
         # A bulk rebuild may reorder per-server aggregation, so every
-        # epoch-keyed cache entry must become unreachable.
+        # curve row must be rechecked by value.
         self._epoch_arr += 1
 
     def _recompute_aggregates_from_rows(self, rows: AllocationRows) -> None:
@@ -244,23 +245,6 @@ class WorkingState:
             if server_id is not None:
                 self._scorer.mark_server(server_id)
 
-    # -- cache attachment ---------------------------------------------------
-
-    @property
-    def cache(self) -> Optional["MemoCache"]:
-        """The attached memoization cache, if any."""
-        return self._cache
-
-    def attach_cache(self, cache: Optional["MemoCache"]) -> None:
-        """Register (or detach, with ``None``) a memoization cache."""
-        if cache is not None:
-            cache.attach(self)
-        self._cache = cache
-
-    def server_epoch(self, server_id: int) -> int:
-        """Monotone mutation counter for one server (cache key component)."""
-        return int(self._epoch_arr[self._sid_index[server_id]])
-
     def server_indices(self, server_ids: Sequence[int]) -> np.ndarray:
         """Dense-array row indices for a sequence of server ids."""
         index = self._sid_index
@@ -273,15 +257,10 @@ class WorkingState:
     def note_client_replaced(self, client_id: int) -> None:
         """The client *object* behind this id changed (e.g. a rate update).
 
-        Cached curves keyed on the old client parameters must become
-        unreachable, and so must epoch-keyed per-server derivations
-        (incumbent stability bounds) on every server currently hosting
-        the client — its entries did not move, but their meaning did.
+        Stored curves keyed on the old client parameters must become
+        unreachable.
         """
-        if self._cache is not None:
-            self._cache.invalidate_client(client_id)
-        for server_id in self.allocation.entries_of_client(client_id):
-            self._epoch_arr[self._sid_index[server_id]] += 1
+        self.cache.invalidate_client(client_id)
 
     # -- capacity queries ---------------------------------------------------
 
@@ -507,8 +486,6 @@ class WorkingState:
             )
         self.allocation = snapshot.copy()
         self._recompute_aggregates()
-        if self._cache is not None:
-            self._cache.note_state_reset()
         if self._scorer is not None:
             # mark_all alone would fold the restored terms into the old
             # running sums, whose Kahan compensation still encodes the
@@ -527,7 +504,7 @@ class WorkingState:
         The O(rows) twin of :meth:`restore`: aggregates are rebuilt by
         unbuffered array scatter-adds instead of the per-entry dict loop,
         bitwise identical because the rows mirror iteration order.  Same
-        cache/scorer reset discipline as :meth:`restore`.
+        scorer reset discipline as :meth:`restore`.
         """
         if self._txn_stack:
             raise ModelError(
@@ -536,8 +513,6 @@ class WorkingState:
             )
         self.allocation = Allocation.from_rows(rows)
         self._recompute_aggregates(rows)
-        if self._cache is not None:
-            self._cache.note_state_reset()
         if self._scorer is not None:
             self._scorer.mark_all()
             self._scorer.resync()
@@ -637,8 +612,6 @@ class WorkingState:
         old_b = self._used_b
         old_storage = self._used_storage
         self._recompute_aggregates()
-        if self._cache is not None:
-            self._cache.note_state_reset()
         if self._scorer is not None:
             for cid in reordered_clients:
                 self._scorer.mark_client(cid)

@@ -28,7 +28,7 @@ from repro.model.profit import (
     client_response_time,
     mm1_response_time,
 )
-from repro.model.validation import (
+from repro.audit.invariants import (
     Violation,
     find_violations,
     validate_allocation,

@@ -139,7 +139,7 @@ class Allocation:
     The class enforces *structural* consistency (a client has entries only
     on servers, never dangling reverse-index rows); *numerical* feasibility
     (share sums, stability, alpha summing to 1) is checked separately by
-    :mod:`repro.model.validation` so that solvers may pass through
+    :mod:`repro.audit.invariants` so that solvers may pass through
     transient infeasible states while rearranging.
     """
 

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional
 from repro.model.allocation import Allocation, ServerAllocation
 from repro.model.client import Client
 from repro.model.datacenter import CloudSystem
-from repro.model.validation import Violation, find_violations
+from repro.audit.invariants import Violation, find_violations
 
 
 def mm1_response_time(service_rate: float, arrival_rate: float) -> float:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional
 
 from repro.model.allocation import Allocation
 from repro.model.profit import client_response_time, evaluate_profit
-from repro.model.validation import Violation
+from repro.audit.invariants import Violation
 from repro.multitier.model import FlatExpansion, MultiTierSystem
 
 

@@ -34,8 +34,8 @@ asserts the adaptive choice is never slower than the scalar reference).
 :func:`combine_curve_batches` solves *many* independent DPs in lockstep —
 one gather-indexed recurrence stepping every batch member at once, padded
 to the widest member.  ``best_placement`` uses it to fold all of a
-client's candidate clusters (the memo-cache misses, see ALGORITHMS.md
-§14) into a single call, amortizing the array dispatch overhead that
+client's candidate clusters (see ALGORITHMS.md §14) into a single
+call, amortizing the array dispatch overhead that
 motivates the scalar crossover above.  Same operands, same tie-break:
 batch results are bit-identical to per-cluster solves.
 

@@ -56,7 +56,6 @@ from repro.audit.hooks import audit_enabled, audit_point
 from repro.audit.invariants import check_no_entries_on_servers
 from repro.config import SolverConfig
 from repro.core.allocator import ResourceAllocator
-from repro.core.cache import maybe_attach_cache
 from repro.core.delta import AGREEMENT_TOLERANCE, DeltaScorer
 from repro.core.repair import (
     consolidate_servers,
@@ -261,7 +260,6 @@ class AllocationService:
         self.scorer = DeltaScorer(
             self.state, validate=self.config.validate_delta_scoring
         )
-        maybe_attach_cache(self.state, self.config)
         self.journal = journal
         self.metrics = MetricsRegistry()
         self.seq = 0

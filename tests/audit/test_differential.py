@@ -193,7 +193,7 @@ class TestJournalAudit:
 #: One step of state churn: a (possibly rejected) reassignment move, a
 #: snapshot restore, or a canonicalization boundary — the three mutation
 #: shapes the local search and the online service drive a WorkingState
-#: through, and the three the memo cache must be transparent across.
+#: through, and the three the curve store must be transparent across.
 _interleaving_ops = st.lists(
     st.one_of(
         st.tuples(st.just("move"), st.integers(0, 7), st.booleans()),
@@ -205,17 +205,15 @@ _interleaving_ops = st.lists(
 
 
 class TestCacheTransparency:
-    """Memoization must be invisible: cache-on == cache-off, bitwise."""
+    """The curve store must be invisible: production == scalar oracle."""
 
     @staticmethod
     def _drive(system, config, ops):
         """Apply one op interleaving to a fresh state; return it."""
         from repro.core.assign import apply_placement, best_placement
-        from repro.core.cache import maybe_attach_cache
         from repro.core.state import WorkingState
 
         state = WorkingState(system)
-        maybe_attach_cache(state, config)
         start = state.snapshot()
         for op in ops:
             if op[0] == "move":
@@ -242,7 +240,7 @@ class TestCacheTransparency:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(ops=_interleaving_ops)
-    def test_interleaved_mutations_bitwise_equal_cache_on_off(self, ops):
+    def test_interleaved_mutations_match_scalar_oracle(self, ops):
         from repro.core.scoring import score_state
 
         system = generate_system(num_clients=8, seed=3)
@@ -253,11 +251,11 @@ class TestCacheTransparency:
             max_improvement_rounds=2,
         )
         cached = self._drive(system, SolverConfig(**base), ops)
-        plain = self._drive(
-            system, SolverConfig(use_curve_cache=False, **base), ops
+        oracle = self._drive(
+            system, SolverConfig(use_vectorized_kernels=False, **base), ops
         )
-        assert score_state(cached) == score_state(plain)  # bitwise
-        assert cached.allocation == plain.allocation
+        assert score_state(cached) == score_state(oracle)  # bitwise
+        assert cached.allocation == oracle.allocation
 
 
 class TestPublicSurface:

@@ -140,12 +140,11 @@ class TestValidateAllocation:
 class TestUnifiedConstants:
     """Satellite: the scattered epsilons now come from one module."""
 
-    def test_legacy_validation_module_delegates_here(self):
-        from repro.model import validation
+    def test_model_package_reexports_invariants(self):
+        import repro.model
 
-        assert validation.find_violations is find_violations
-        assert validation.Violation is Violation
-        assert validation.FEASIBILITY_TOLERANCE == FEASIBILITY_TOLERANCE
+        assert repro.model.find_violations is find_violations
+        assert repro.model.Violation is Violation
 
     def test_delta_scorer_agreement_bound_is_shared(self):
         from repro.core import delta

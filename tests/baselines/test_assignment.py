@@ -8,7 +8,7 @@ from repro.baselines.assignment import (
     random_assignment,
 )
 from repro.exceptions import SolverError
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 class TestRandomAssignment:

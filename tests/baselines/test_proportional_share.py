@@ -8,7 +8,7 @@ from repro.baselines.proportional_share import (
 )
 from repro.core.allocator import ResourceAllocator
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 class TestModifiedPS:

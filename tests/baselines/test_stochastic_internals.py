@@ -9,7 +9,7 @@ from repro.baselines.annealing import (
 )
 from repro.baselines.genetic import GeneticConfig, genetic_search
 from repro.config import SolverConfig
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 class TestAnnealingMechanics:

@@ -5,7 +5,7 @@ import pytest
 from repro.config import SolverConfig
 from repro.core.admission import admission_controlled_solve
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.model.utility import ClippedLinearUtility, UtilityClass
 from repro.model.client import Client
 from repro.model.cluster import Cluster

@@ -13,7 +13,7 @@ from repro.baselines.assignment import (
 )
 from repro.baselines.exhaustive import exhaustive_search
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 class TestInitialSolution:

@@ -10,7 +10,7 @@ from repro.core.assign import (
 )
 from repro.core.state import WorkingState
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 class TestAssignDistribute:

@@ -16,7 +16,7 @@ from repro.core.distributed import (
 )
 from repro.io import allocation_to_dict, dump_canonical
 from repro.model.allocation import Allocation
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 def _manifest(allocation: Allocation) -> str:

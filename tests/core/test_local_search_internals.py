@@ -12,7 +12,7 @@ from repro.baselines.assignment import (
     build_allocation_for_assignment,
     random_assignment,
 )
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.workload import generate_system
 from repro.workload.generator import WorkloadConfig
 

@@ -17,7 +17,7 @@ from repro.core.scoring import score
 from repro.core.shares import adjust_resource_shares
 from repro.core.state import WorkingState
 from repro.model.allocation import Allocation
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 import numpy as np
 

@@ -19,7 +19,7 @@ from repro.core.power import (
 )
 from repro.core.scoring import score
 from repro.core.state import WorkingState
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 
 
 def candidate(value, units, client_id=0):

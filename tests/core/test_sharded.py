@@ -21,7 +21,7 @@ from repro.core.sharded import (
 from repro.io import allocation_to_dict, dump_canonical, system_to_dict
 from repro.model import Client
 from repro.model.allocation import Allocation, AllocationRows
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.workload import generate_system
 
 

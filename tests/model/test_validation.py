@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import InfeasibleAllocationError
 from repro.model.allocation import Allocation
-from repro.model.validation import find_violations, validate_allocation
+from repro.audit.invariants import find_violations, validate_allocation
 
 
 def serve_fully(system, phi_p=0.5, phi_b=0.5):

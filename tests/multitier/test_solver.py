@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.config import SolverConfig
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.multitier import (
     MultiTierAllocator,
     evaluate_multitier_profit,

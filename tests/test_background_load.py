@@ -12,7 +12,7 @@ import pytest
 from repro.config import SolverConfig
 from repro.core.allocator import ResourceAllocator
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.workload import generate_system
 from repro.workload.generator import WorkloadConfig
 

@@ -20,7 +20,7 @@ from repro.io import (
     system_to_dict,
 )
 from repro.model.profit import evaluate_profit
-from repro.model.validation import find_violations
+from repro.audit.invariants import find_violations
 from repro.workload.generator import WorkloadConfig, generate_system
 
 FAST = SolverConfig(
